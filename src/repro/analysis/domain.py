@@ -71,6 +71,8 @@ AbsVal = object  # Num | StackAddr | HeapAddr | TOP | BOTTOM
 
 
 def join_vals(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a is b:
+        return a
     if a is BOTTOM or a == b:
         return b
     if b is BOTTOM:
@@ -87,6 +89,8 @@ def join_vals(a: AbsVal, b: AbsVal) -> AbsVal:
 
 
 def widen_vals(a: AbsVal, b: AbsVal) -> AbsVal:
+    if a is b:
+        return a
     if a is BOTTOM:
         return b
     if b is BOTTOM:
@@ -246,11 +250,15 @@ class RegState:
         return RegState(tuple(regs))
 
     def join(self, other: "RegState") -> "RegState":
+        if self.regs == other.regs:
+            return self
         return RegState(tuple(
             join_vals(a, b) for a, b in zip(self.regs, other.regs)
         ))
 
     def widen(self, other: "RegState") -> "RegState":
+        if self.regs == other.regs:
+            return self
         return RegState(tuple(
             widen_vals(a, b) for a, b in zip(self.regs, other.regs)
         ))

@@ -40,6 +40,7 @@ from repro.asm.program import Binary
 from repro.analysis.cfg import CFG
 from repro.analysis.si import SI, SI_TOP
 from repro.analysis.domain import (
+    BOTTOM,
     TOP,
     AccessSet,
     HeapAddr,
@@ -85,30 +86,30 @@ _INT_READERS = frozenset({"mov", "movzx", "movsx", "add", "sub", "and",
 
 @dataclass(frozen=True)
 class AbsState:
-    """Register state + tracked stack-slot values of the current frame."""
+    """Register state + tracked stack-slot values of the current frame.
+
+    ``stack`` maps a stack a-loc to its value.  States share their
+    dicts (``with_regs`` and an unchanged ``join`` reuse them), so a
+    dict is never mutated once a state holds it: ``stack_set`` copies.
+    """
 
     regs: RegState
-    stack: tuple  # sorted tuple of ((aloc), AbsVal)
+    stack: dict  # aloc -> AbsVal
 
     def stack_get(self, key):
-        for k, v in self.stack:
-            if k == key:
-                return v
         # optimistic: a slot with no recorded store is "no value yet"
         # (BOTTOM); compiled code never reads uninitialized slots, and
         # treating them as TOP would let transient worklist orderings
         # poison the whole analysis (see module docstring)
-        from repro.analysis.domain import BOTTOM
-        return BOTTOM
+        return self.stack.get(key, BOTTOM)
 
     def stack_set(self, key, val) -> "AbsState":
-        items = [(k, v) for k, v in self.stack if k != key]
-        items.append((key, val))
-        items.sort(key=lambda kv: repr(kv[0]))
-        return AbsState(self.regs, tuple(items))
+        stack = self.stack.copy()
+        stack[key] = val
+        return AbsState(self.regs, stack)
 
     def stack_clobber(self) -> "AbsState":
-        return AbsState(self.regs, ())
+        return AbsState(self.regs, {})
 
     def with_regs(self, regs: RegState) -> "AbsState":
         return AbsState(regs, self.stack)
@@ -116,13 +117,27 @@ class AbsState:
     def join(self, other: "AbsState", widen: bool = False) -> "AbsState":
         regs = (self.regs.widen(other.regs) if widen
                 else self.regs.join(other.regs))
-        keys = {k for k, _ in self.stack} | {k for k, _ in other.stack}
-        items = []
-        for k in keys:
-            items.append((k, join_vals(self.stack_get(k),
-                                       other.stack_get(k))))
-        items.sort(key=lambda kv: repr(kv[0]))
-        return AbsState(regs, tuple(items))
+        stack = self.stack
+        if other.stack is not stack:
+            # fold in only the slots whose joined value differs; a slot
+            # missing on one side joins with BOTTOM, i.e. keeps the other
+            # side's value (stack slots join even when registers widen)
+            for k, v in other.stack.items():
+                cur = stack.get(k)
+                if cur is None:
+                    new = v
+                elif cur is v or cur == v:
+                    continue
+                else:
+                    new = join_vals(cur, v)
+                    if new == cur:
+                        continue
+                if stack is self.stack:
+                    stack = stack.copy()
+                stack[k] = new
+        if regs is self.regs and stack is self.stack:
+            return self
+        return AbsState(regs, stack)
 
 
 class ValueSetAnalysis:
@@ -161,7 +176,7 @@ class ValueSetAnalysis:
         from repro.analysis.sources_sinks import classify
 
         entry = self.binary.entry
-        init = AbsState(RegState.entry(entry, RegState.top_state()), ())
+        init = AbsState(RegState.entry(entry, RegState.top_state()), {})
         work: list[tuple[int, int]] = []
         self._merge_in((0, entry), init, work)
         while work:
@@ -222,8 +237,6 @@ class ValueSetAnalysis:
     # ------------------------------------------------------------------ #
 
     def _eval_ea(self, mem: Mem, st: AbsState):
-        from repro.analysis.domain import BOTTOM
-
         v = Num(SI.const(mem.disp))
         if mem.base is not None:
             v = add_val(st.regs.get(canonical(mem.base)), v)
@@ -264,8 +277,6 @@ class ValueSetAnalysis:
         """Model an integer load: record the sink candidate, return the
         abstract loaded value (precise for tracked stack slots and
         never-written globals)."""
-        from repro.analysis.domain import BOTTOM
-
         ea = self._eval_ea(mem, st)
         acc = resolve_access(ea, mem.size)
         if acc.is_empty():
@@ -294,8 +305,6 @@ class ValueSetAnalysis:
         return TOP
 
     def _join_global_reads(self, ins: Instruction, keys):
-        from repro.analysis.domain import BOTTOM
-
         val = BOTTOM
         for gkey in keys:
             self.global_readers.setdefault(gkey, set()).add(
@@ -574,11 +583,6 @@ class ValueSetAnalysis:
                     st.regs.set(name, Num(cur.si.mul(sval.si))))
         if mn == "neg" and isinstance(cur, Num):
             return st.with_regs(st.regs.set(name, Num(cur.si.neg())))
-        if mn == "cqo":
-            return st.with_regs(st.regs.set("rdx", Num(SI_TOP)))
-        if mn == "idiv":
-            regs = st.regs.set("rax", Num(SI_TOP)).set("rdx", Num(SI_TOP))
-            return st.with_regs(regs)
         return st.with_regs(st.regs.set(name, Num(SI_TOP)))
 
     def _transfer_fp_mov(self, ins, mn, ops, st: AbsState,
@@ -621,5 +625,5 @@ class ValueSetAnalysis:
             callee_ctx = ins.addr if self.k >= 1 else 0
             self.contexts.add(callee_ctx)
             entry_regs = st.regs.set("rsp", StackAddr(callee, SI.const(0)))
-            out.append(((callee_ctx, callee), AbsState(entry_regs, ())))
+            out.append(((callee_ctx, callee), AbsState(entry_regs, {})))
         return out

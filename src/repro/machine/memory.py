@@ -11,6 +11,7 @@ writable segment — looking for bit patterns that decode as NaN-boxes.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,7 +30,7 @@ class Segment:
 
     name: str
     base: int
-    data: bytearray
+    data: mmap.mmap  # bytearray-like: slicing, slice assignment, find
     writable: bool = True
     #: one byte per page, set by the write barrier, cleared by the
     #: incremental GC after scanning that page.  Pages start dirty so
@@ -65,7 +66,10 @@ class Memory:
         for seg in self.segments:
             if base < seg.end and seg.base < base + size:
                 raise MemoryFault(base, size, f"overlap with {seg.name}")
-        buf = bytearray(size)
+        # a private anonymous mapping commits a page on its first write,
+        # so the mostly-untouched heap and stack cost little resident
+        # memory (a bytearray zero-fills, committing every page)
+        buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         if data:
             buf[: len(data)] = data
         seg = Segment(name, base, buf, writable)
