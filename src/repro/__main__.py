@@ -499,9 +499,12 @@ def cmd_sanitize(args) -> int:
                   f"{len(rr.checkable)} sites divergence-free "
                   f"({100 * rr.prove_rate:.1f}%), {len(rr.exact)} "
                   f"bit-exact", file=err)
-            mode = "aggressive" if args.exempt_aggressive else "bit-exact"
-            print(f"  exempt executions  : {stats.sanitize_exempt_execs} "
-                  f"({mode} exemption)", file=err)
+            if not args.no_exempt:
+                mode = ("aggressive" if args.exempt_aggressive
+                        else "bit-exact")
+                print(f"  exempt executions  : "
+                      f"{stats.sanitize_exempt_execs} ({mode} exemption)",
+                      file=err)
         rows = san.divergence_table(args.top)
         flagged = [s for s in rows if s.flags]
         if flagged:

@@ -25,7 +25,8 @@ that demote boxes back to IEEE doubles before re-executing:
 * :mod:`repro.analysis.patcher` — e9patch stand-in: installs the traps
 * :mod:`repro.analysis.report`  — the analysis artifact
 
-Soundness argument (tested in ``tests/integration/test_analysis.py``):
+Soundness argument (tested in ``tests/integration/test_oracle.py`` and
+``tests/integration/test_analysis_end_to_end.py``):
 boxes live only in XMM registers and FP-stored 8-byte memory words.
 They can enter a GPR only via (a) an integer load from FP-marked
 memory — found by VSA; (b) ``movq r64, xmm`` — patched
@@ -40,7 +41,10 @@ the last FP store on every path (see :mod:`repro.analysis.liveness`).
 Reports are cached by :meth:`repro.asm.program.Binary.content_hash`,
 so an experiment matrix that rebuilds the same workload per cell pays
 for one analysis; cached reports are shared objects and must not be
-mutated by callers.
+mutated by callers.  The value-set analysis runs once per binary: the
+interval-range pass (:mod:`repro.analysis.ranges`) takes the converged
+VSA from the same cold path as :func:`analyze`, which fills the report
+cache on its way.  Only reports are cached, never a VSA.
 """
 
 from time import perf_counter
@@ -52,7 +56,10 @@ from repro.analysis.report import AnalysisReport
 
 #: content-hash -> report; process-wide (matrix runs skip re-analysis)
 _REPORT_CACHE: dict[str, AnalysisReport] = {}
-#: cumulative hit/miss counters for the cache (trace + bench surface)
+#: content-hash -> unclassified interval-range report (analysis.ranges)
+_RANGES_CACHE: dict = {}
+#: cumulative hit/miss counters for the report cache (a miss is a cold
+#: analysis run; trace + bench surface)
 CACHE_STATS = {"hits": 0, "misses": 0}
 
 
@@ -70,6 +77,20 @@ def analyze(binary, *, cache: bool = True) -> AnalysisReport:
             CACHE_STATS["hits"] += 1
             hit.cache_hit = True
             return hit
+    return _analyze_cold(binary, key, cache)[0]
+
+
+def _analyze_cold(binary, key: str, cache: bool
+                  ) -> tuple[AnalysisReport, ValueSetAnalysis]:
+    """The one cold path: run VSA and the refinement on ``binary``
+    (whose content hash is ``key``).
+
+    Returns the report with its converged :class:`ValueSetAnalysis`
+    (the interval-range pass runs on its states).  With ``cache`` the
+    report fills the report cache unless one is already there; the
+    VSA is never cached.
+    """
+    if cache:
         CACHE_STATS["misses"] += 1
     t0 = perf_counter()
     vsa = ValueSetAnalysis(binary)
@@ -81,13 +102,15 @@ def analyze(binary, *, cache: bool = True) -> AnalysisReport:
     report.binary_hash = key
     report.cache_hit = False
     if cache:
-        _REPORT_CACHE[key] = report
-    return report
+        _REPORT_CACHE.setdefault(key, report)
+    return report, vsa
 
 
 def clear_cache() -> None:
-    """Drop all cached reports (tests / fresh measurement runs)."""
+    """Drop all cached analysis and interval-range reports (tests /
+    fresh measurement runs)."""
     _REPORT_CACHE.clear()
+    _RANGES_CACHE.clear()
     CACHE_STATS["hits"] = CACHE_STATS["misses"] = 0
 
 

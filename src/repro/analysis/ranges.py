@@ -10,13 +10,20 @@ exact to a rounding, whatever the loop bounds.  This pass proves that
 proven sites entirely (the PR-5 box-free fast-path pattern applied to
 sanitizing).
 
-It is a second worklist fixpoint over the same ``(ctx, addr)`` keys as
-the value-set analysis (:mod:`repro.analysis.vsa`), reusing the
-converged VSA states for every addressing question (which stack slot,
-which global word, what integer range feeds a conversion) and
+It is a second abstract domain on the value-set analysis's own driver
+(:class:`repro.analysis.vsa.WorklistFixpoint`): the same ``(ctx, addr)``
+keys and k=1 contexts, worklist order, widening delay, replay-at-
+fixpoint recording pass, and flow-insensitive global value map with
+reader re-queueing and poisoning.  It runs on the converged states of
+the one VSA computed per binary (the analysis's cold path fills the
+analysis report cache on the way), which answer every
+addressing question (which stack slot, which global word, what integer
+range feeds a conversion), and uses
 :class:`repro.arith.interval.IntervalArithmetic` as the transfer-
-function library for the value question.  The abstract value for one
-FP location is
+function library for the value question.  The fixpoint never reads
+the sanitizer threshold, so reports are cached by content hash alone
+and sites are classified per call.  The abstract value for one FP
+location is
 
     ``Rng(lo, hi, err)``
 
@@ -53,13 +60,14 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
+from repro.analysis import _RANGES_CACHE, _analyze_cold
 from repro.analysis.domain import Num, add_val
 from repro.analysis.si import SI
 from repro.analysis.vsa import (INTERPOSED_EXTERNS, NO_FP_EXTERNS,
-                                ValueSetAnalysis, _WIDEN_AFTER)
+                                WorklistFixpoint)
 from repro.arith.interval import IntervalArithmetic, _is_nai
 from repro.isa.operands import Mem, Reg, Xmm
 from repro.isa.registers import canonical
@@ -209,14 +217,17 @@ _XMM_TOP = tuple(FTOP for _ in range(16))
 class FPState:
     """Per-(ctx, addr) flow state.
 
-    Stack slots absent from ``stack`` are *unknown* (FTOP), not
-    "unwritten": unlike the VSA — which may be optimistic because
-    compiled code never reads uninitialized slots — a proof pass must
-    assume a callee may have written any slot it cannot see.
+    ``stack`` maps a stack a-loc to its value.  Slots absent from it
+    are *unknown* (FTOP), not "unwritten": unlike the VSA — which may
+    be optimistic because compiled code never reads uninitialized
+    slots — a proof pass must assume a callee may have written any
+    slot it cannot see.  States share their dicts (``xmm_set``, calls
+    and a join of one dict with itself reuse them), so a dict is never
+    mutated once a state holds it: ``stack_set`` copies.
     """
 
     xmm: tuple
-    stack: tuple  # sorted tuple of (aloc, Rng)
+    stack: dict  # aloc -> Rng; absent = FTOP
 
     def xmm_get(self, i: int):
         return self.xmm[i]
@@ -227,101 +238,61 @@ class FPState:
         return FPState(tuple(regs), self.stack)
 
     def stack_get(self, key):
-        for k, v in self.stack:
-            if k == key:
-                return v
-        return FTOP
+        return self.stack.get(key, FTOP)
 
     def stack_set(self, key, val) -> "FPState":
-        items = [(k, v) for k, v in self.stack if k != key]
-        if val is not FTOP:  # storing FTOP == erasing (absent means FTOP)
-            items.append((key, val))
-        items.sort(key=lambda kv: repr(kv[0]))
-        return FPState(self.xmm, tuple(items))
+        stack = self.stack.copy()
+        if val is FTOP:  # storing FTOP == erasing (absent means FTOP)
+            stack.pop(key, None)
+        else:
+            stack[key] = val
+        return FPState(self.xmm, stack)
 
     def clobber_stack(self) -> "FPState":
-        return FPState(self.xmm, ())
+        return FPState(self.xmm, {})
 
     def join(self, other: "FPState", widen: bool = False) -> "FPState":
         xmm = tuple(_join_fp(a, b, widen)
                     for a, b in zip(self.xmm, other.xmm))
-        keys = {k for k, _ in self.stack} & {k for k, _ in other.stack}
-        items = []
-        for k in keys:
-            v = _join_fp(self.stack_get(k), other.stack_get(k), widen)
-            if v is not FTOP:
-                items.append((k, v))
-        items.sort(key=lambda kv: repr(kv[0]))
-        return FPState(xmm, tuple(items))
+        stack = self.stack
+        if other.stack is not stack:
+            # only slots present on both sides survive (absent = FTOP)
+            stack = {}
+            for k, v in self.stack.items():
+                o = other.stack.get(k)
+                if o is not None:
+                    v = _join_fp(v, o, widen)
+                    if v is not FTOP:
+                        stack[k] = v
+        return FPState(xmm, stack)
 
 
 # --------------------------------------------------------------------------- #
 # the analysis                                                                 #
 # --------------------------------------------------------------------------- #
 
-class RangeAnalysis:
-    """Worst-case rounding-divergence bounds per checked FP site."""
+class RangeAnalysis(WorklistFixpoint):
+    """Worst-case rounding-divergence bounds per checked FP site, on the
+    converged states of ``vsa`` (which it only reads)."""
 
-    def __init__(self, binary, threshold: float = 1e-6) -> None:
-        self.binary = binary
-        self.threshold = threshold
-        self.vsa = ValueSetAnalysis(binary)
-        self.vsa.run()
-        self.cfg = self.vsa.cfg
-        self.states: dict[tuple[int, int], FPState] = {}
-        self.join_counts: dict[tuple[int, int], int] = {}
-        self.iterations = 0
-        self._ctx = 0
-        # flow-insensitive FP view of global data words, seeded from the
-        # static data image, weak-updated with reader re-queueing
-        self.g_vals: dict[tuple, object] = {}
-        self.g_readers: dict[tuple, set[tuple[int, int]]] = {}
-        self._poisoned = False
-        self._recording = False
+    # the global map holds the FP view of data words, seeded from the
+    # static data image
+    _bottom = FBOT
+    _top = FTOP
+    _join_val = staticmethod(_join_fp)
+
+    def __init__(self, vsa) -> None:
+        super().__init__(vsa.binary, vsa.cfg)
+        self.vsa = vsa
         #: site addr -> Rng | FTOP, joined over contexts at the fixpoint
         self.site_bounds: dict[int, object] = {}
 
     # ------------------------------------------------------------------ #
     def run(self) -> None:
-        entry = self.binary.entry
-        init = FPState(_XMM_TOP, ())
-        work: list[tuple[int, int]] = []
-        self._merge_in((0, entry), init, work)
-        while work:
-            key = work.pop()
-            ctx, addr = key
-            state = self.states.get(key)
-            ins = self.binary.text_map.get(addr)
-            if state is None or ins is None:
-                continue
-            self.iterations += 1
-            self._ctx = ctx
-            for succ_key, succ_state in self._transfer(ins, state, work):
-                self._merge_in(succ_key, succ_state, work)
-        # record site bounds from the converged states only (transient
-        # pre-widening enumerations would otherwise pollute the proofs;
-        # same rationale as ValueSetAnalysis._record_at_fixpoint)
-        self._recording = True
-        sink: list = []
-        for (ctx, addr), st in sorted(self.states.items()):
-            ins = self.binary.text_map.get(addr)
-            if ins is None:
-                continue
-            self._ctx = ctx
-            self._transfer(ins, st, sink)
+        self._solve(FPState(_XMM_TOP, {}))
 
-    def _merge_in(self, key, state: FPState, work) -> None:
-        old = self.states.get(key)
-        if old is None:
-            self.states[key] = state
-            work.append(key)
-            return
-        count = self.join_counts.get(key, 0) + 1
-        self.join_counts[key] = count
-        new = old.join(state, widen=count > _WIDEN_AFTER)
-        if new != old:
-            self.states[key] = new
-            work.append(key)
+    def _clear_records(self) -> None:
+        self.site_bounds.clear()
 
     # ------------------------------------------------------------------ #
     # memory model (addressing questions answered by the converged VSA)   #
@@ -340,7 +311,7 @@ class RangeAnalysis:
         if vst is None:
             return None
         ea = self.vsa._eval_ea(mem, vst)
-        key = ValueSetAnalysis._stack_aloc(ea)
+        key = self._stack_aloc(ea)
         if key is not None:
             return ("s", key)
         if isinstance(ea, Num) and ea.si.is_const:
@@ -349,13 +320,13 @@ class RangeAnalysis:
                 return None  # misaligned double: give up on the cell
             return ("g", [("g", a)])
         if isinstance(ea, Num) and not ea.si.top:
-            keys = self.vsa._clamped_range_alocs(ea.si.lo,
-                                                 ea.si.hi + mem.size - 1)
+            keys = self._clamped_range_alocs(ea.si.lo,
+                                             ea.si.hi + mem.size - 1)
             if keys is not None:
                 return ("g", keys)
         return None
 
-    def _static_fp(self, gkey):
+    def _static_global_value(self, gkey):
         """FP seed of a data word: its initial bytes read as binary64."""
         addr = gkey[1]
         data = self.binary.data
@@ -367,38 +338,6 @@ class RangeAnalysis:
                 return Rng(v, v, 0.0, v.is_integer() and abs(v) <= _EXACT_INT)
         return FTOP
 
-    def _g_read(self, ins, keys, st: FPState):
-        val = FBOT
-        for gkey in keys:
-            self.g_readers.setdefault(gkey, set()).add(
-                (self._ctx, ins.addr))
-            if self._poisoned:
-                return FTOP
-            cur = self.g_vals.get(gkey)
-            if cur is None:
-                cur = self._static_fp(gkey)
-            val = _join_fp(val, cur)
-        return val if val is not FBOT else FTOP
-
-    def _g_update(self, gkey, val, work) -> None:
-        """Monotone weak update; re-queues affected readers."""
-        old = self.g_vals.get(gkey)
-        seeded = old if old is not None else self._static_fp(gkey)
-        new = _join_fp(seeded, val)
-        if new != seeded or gkey not in self.g_vals:
-            self.g_vals[gkey] = new
-            for reader in self.g_readers.get(gkey, ()):
-                work.append(reader)
-
-    def _poison_all(self, work) -> None:
-        """A write through an unknown pointer: every FP global is
-        suspect, forever (flow-insensitive map)."""
-        if self._poisoned:
-            return
-        self._poisoned = True
-        for readers in self.g_readers.values():
-            work.extend(readers)
-
     def _load(self, ins, mem: Mem, st: FPState):
         cell = self._mem_cell(ins, mem)
         if cell is None:
@@ -406,12 +345,14 @@ class RangeAnalysis:
         kind, keys = cell
         if kind == "s":
             return st.stack_get(keys)
-        return self._g_read(ins, keys, st)
+        return self._join_global_reads(ins, keys)
 
     def _store(self, ins, mem: Mem, st: FPState, val, work) -> FPState:
         cell = self._mem_cell(ins, mem)
         if cell is None:
-            self._poison_all(work)
+            # a write through an unknown pointer: every FP global is
+            # suspect, forever (flow-insensitive map)
+            self._poison_globals(None, None, work)
             return st.clobber_stack()
         kind, keys = cell
         wide = mem.size > 8
@@ -422,9 +363,9 @@ class RangeAnalysis:
             return out
         weak = len(keys) > 1
         for gkey in keys:
-            self._g_update(gkey, FTOP if weak else val, work)
+            self._update_global(gkey, FTOP if weak else val, work)
         if wide and len(keys) == 1:
-            self._g_update(("g", keys[0][1] + 8), FTOP, work)
+            self._update_global(("g", keys[0][1] + 8), FTOP, work)
         return st
 
     def _clobber_mem(self, ins, mem: Mem, st: FPState, work) -> FPState:
@@ -572,8 +513,6 @@ class RangeAnalysis:
     # ------------------------------------------------------------------ #
 
     def _site(self, addr: int, res) -> None:
-        if not self._recording:
-            return
         cur = self.site_bounds.get(addr, FBOT)
         self.site_bounds[addr] = _join_fp(cur, res)
 
@@ -681,7 +620,7 @@ class RangeAnalysis:
             vst = self._vsa_state(ins.addr)
             if vst is not None:
                 rsp = add_val(vst.regs.get("rsp"), Num(SI.const(-8)))
-                key = ValueSetAnalysis._stack_aloc(rsp)
+                key = self._stack_aloc(rsp)
                 if key is not None:
                     out = st.stack_set(key, FTOP)
 
@@ -722,7 +661,8 @@ class RangeAnalysis:
         if not (isinstance(ea, Num) and ea.si.is_const):
             return None
         addr = ea.si.lo
-        if self._poisoned or ("g", addr & ~7) in self.g_vals:
+        if (self._global_poisoned(addr)
+                or ("g", addr & ~7) in self.global_vals):
             return None  # the mask word may have been overwritten
         off = addr - self.binary.data_base
         data = self.binary.data
@@ -739,16 +679,16 @@ class RangeAnalysis:
             # xmm state dies (xmm0 return / caller-saved), frame survives
             ret_state = FPState(_XMM_TOP, st.stack)
         else:
-            if callee is None:
-                self._poison_all(work)  # unknown extern may write FP data
-            ret_state = FPState(_XMM_TOP, ())
+            if callee is None:  # unknown extern may write FP data
+                self._poison_globals(None, None, work)
+            ret_state = FPState(_XMM_TOP, {})
         if ret_site in self.binary.text_map:
             out.append(((self._ctx, ret_site), ret_state))
         if callee is not None:
             # FP arguments flow into the callee in xmm registers; the
             # callee starts its own frame (k=1 context, as in the VSA)
             ctx = ins.addr if self.vsa.k >= 1 else 0
-            out.append(((ctx, callee), FPState(st.xmm, ())))
+            out.append(((ctx, callee), FPState(st.xmm, {})))
         return out
 
 
@@ -758,13 +698,19 @@ class RangeAnalysis:
 
 @dataclass
 class RangeReport:
-    """Artifact of one interval-range pass (cached; do not mutate)."""
+    """Artifact of one interval-range pass, classified at ``threshold``.
+
+    Each :func:`analyze_ranges` call returns its own copy; ``mnemonics``
+    and ``bounds`` are shared with the cache, so do not mutate them.
+    """
 
     binary_hash: str = ""
     cache_hit: bool = False
     threshold: float = 1e-6
     iterations: int = 0
     vsa_iterations: int = 0
+    #: the range fixpoint's own time (the VSA it reads is timed in the
+    #: analysis report's ``vsa_ms``)
     ranges_ms: float = 0.0
     #: sorted addrs of every statically checkable (dual-path) FP site
     checkable: tuple = ()
@@ -830,60 +776,47 @@ class RangeReport:
         }
 
 
-#: (content-hash, threshold) -> report; matrix runs pay for one pass
-_RANGES_CACHE: dict[tuple[str, float], RangeReport] = {}
-
-
-def clear_ranges_cache() -> None:
-    _RANGES_CACHE.clear()
-
-
 def analyze_ranges(binary, *, threshold: float = 1e-6,
                    cache: bool = True) -> RangeReport:
-    """Run the interval-range pass; returns the (cached) report."""
-    key = (binary.content_hash(), threshold)
-    if cache:
-        hit = _RANGES_CACHE.get(key)
-        if hit is not None:
-            hit.cache_hit = True
-            return hit
-    t0 = perf_counter()
-    ra = RangeAnalysis(binary, threshold)
-    ra.run()
+    """Run the interval-range pass, or take it from the cache, and
+    classify its sites at ``threshold``.
 
-    report = RangeReport(binary_hash=key[0], threshold=threshold,
-                         iterations=ra.iterations,
-                         vsa_iterations=ra.vsa.iterations)
-    checkable = []
-    for ins in binary.text:
-        mn = ins.mnemonic
-        if mn in ("fpvm_trap", "fpvm_patch") and ins.payload:
-            mn = ins.payload["original"].mnemonic
-        if mn in CHECKED_SITE_MNEMONICS:
-            checkable.append(ins.addr)
-            report.mnemonics[ins.addr] = mn
-    report.checkable = tuple(sorted(checkable))
-    proven = set()
-    exact = set()
+    A miss runs the analysis's one cold path (which with ``cache`` also
+    fills the analysis report cache), runs the range fixpoint on that
+    VSA's converged states and drops the VSA.  The fixpoint never reads
+    the threshold, so the cache is keyed by content hash alone.
+    """
+    key = binary.content_hash()
+    base = _RANGES_CACHE.get(key) if cache else None
+    hit = base is not None
+    if not hit:
+        _, vsa = _analyze_cold(binary, key, cache)
+        t0 = perf_counter()
+        ra = RangeAnalysis(vsa)
+        ra.run()
+        base = RangeReport(binary_hash=key, iterations=ra.iterations,
+                           vsa_iterations=vsa.iterations)
+        for ins in binary.text:
+            mn = ins.mnemonic
+            if mn in ("fpvm_trap", "fpvm_patch") and ins.payload:
+                mn = ins.payload["original"].mnemonic
+            if mn in CHECKED_SITE_MNEMONICS:
+                base.mnemonics[ins.addr] = mn
+                b = ra.site_bounds.get(ins.addr)
+                base.bounds[ins.addr] = ((b.lo, b.hi, b.err)
+                                         if isinstance(b, Rng) else None)
+        base.checkable = tuple(sorted(base.mnemonics))
+        base.ranges_ms = (perf_counter() - t0) * 1e3
+        if cache:
+            _RANGES_CACHE[key] = base
     margin = threshold / 8.0
-    for addr in report.checkable:
-        b = ra.site_bounds.get(addr)
-        if isinstance(b, Rng):
-            report.bounds[addr] = (b.lo, b.hi, b.err)
-            if (b.err <= margin and math.isfinite(b.lo)
-                    and math.isfinite(b.hi)):
-                proven.add(addr)
-                if b.err == 0.0:
-                    exact.add(addr)
-        else:
-            report.bounds[addr] = None
-    report.proven = frozenset(proven)
-    report.exact = frozenset(exact)
-    report.ranges_ms = (perf_counter() - t0) * 1e3
-    report.cache_hit = False
-    if cache:
-        _RANGES_CACHE[key] = report
-    return report
+    proven = frozenset(
+        a for a, b in base.bounds.items()
+        if b is not None and b[2] <= margin
+        and math.isfinite(b[0]) and math.isfinite(b[1]))
+    return replace(base, cache_hit=hit, threshold=threshold, proven=proven,
+                   exact=frozenset(a for a in proven
+                                   if base.bounds[a][2] == 0.0))
 
 
 # --------------------------------------------------------------------------- #
@@ -943,7 +876,7 @@ def validate_sanitize_exemptions(target, *, size: str = "test",
                           exempt=False)
     sess = Session(target, ("sanitize", precision), size=size,
                    config=FPVMConfig(sanitize=scfg), label="sanitize-gate")
-    rr = analyze_ranges(sess.binary, threshold=threshold)
+    rr = sess.range_report
     sess.run()
     san = sess.fpvm.sanitizer
 

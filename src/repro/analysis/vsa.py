@@ -27,6 +27,10 @@ each call site gets its own copy of the callee's flow, so the
 pointer-into-caller-frame pattern stays precise.  The accumulated
 access tables stay keyed by instruction address (the monotone union
 over contexts is exactly the flow the patcher must cover).
+
+The worklist driver — loop, widening delay, replay at the fixpoint and
+the flow-insensitive global value map — is :class:`WorklistFixpoint`,
+shared with the interval-range pass (:mod:`repro.analysis.ranges`).
 """
 
 from __future__ import annotations
@@ -140,45 +144,37 @@ class AbsState:
         return AbsState(regs, stack)
 
 
-class ValueSetAnalysis:
-    """The paper's static analyzer, operating on our ISA."""
+class WorklistFixpoint:
+    """The worklist driver shared by the value-set analysis and the
+    interval-range pass (:mod:`repro.analysis.ranges`).
 
-    def __init__(self, binary: Binary, k: int = 1) -> None:
+    States are keyed by ``(ctx, addr)``; ctx is the call-site address
+    that entered the current function (0 for the root function).  A
+    subclass supplies the state type (anything with
+    ``join(other, widen=)`` and ``!=``), ``_transfer(ins, state, work)``
+    returning ``[(key, state), ...]``, the bottom, top, join and static
+    seed of its flow-insensitive global value map, and
+    ``_clear_records`` for the tables its transfer fills.
+    """
+
+    def __init__(self, binary: Binary, cfg: CFG) -> None:
         self.binary = binary
-        self.cfg = CFG.build(binary)
-        #: call-string depth: 1 = per-call-site callee copies, 0 = merged
-        self.k = k
-        # states are keyed by (ctx, addr); ctx is the call-site address
-        # that entered the current function (0 for the root function)
-        self.states: dict[tuple[int, int], AbsState] = {}
+        self.cfg = cfg
+        self.states: dict[tuple[int, int], object] = {}
         self.join_counts: dict[tuple[int, int], int] = {}
-        self.contexts: set[int] = {0}
         self.iterations = 0
         self._ctx = 0
-
-        # accumulated memory classification (monotone)
-        self.writes_fp: dict[int, AccessSet] = {}   # instr -> access set
-        self.writes_int: dict[int, AccessSet] = {}
-        self.write_widths: dict[int, int] = {}      # instr -> min store width
-        self.reads_int: dict[int, ReadEvent] = {}
-        self.reads_fp: dict[int, AccessSet] = {}
-        self.movq_sinks: set[int] = set()
-        self.bitwise_sites: set[int] = set()
-
         # flow-insensitive global value map (seeded from static data)
         self.global_vals: dict[tuple, object] = {}
         self.global_readers: dict[tuple, set[tuple[int, int]]] = {}
         self._sym_bounds: list[int] | None = None
         self._poisoned: list[tuple[int, int]] = []
 
-    # ------------------------------------------------------------------ #
-    def run(self) -> AnalysisReport:
-        from repro.analysis.sources_sinks import classify
-
-        entry = self.binary.entry
-        init = AbsState(RegState.entry(entry, RegState.top_state()), {})
+    def _solve(self, init) -> None:
+        """Run to fixpoint from ``init`` at the entry, then replay the
+        converged states to record the subclass's tables."""
         work: list[tuple[int, int]] = []
-        self._merge_in((0, entry), init, work)
+        self._merge_in((0, self.binary.entry), init, work)
         while work:
             key = work.pop()
             ctx, addr = key
@@ -191,25 +187,15 @@ class ValueSetAnalysis:
             out_states = self._transfer(ins, state, work)
             for succ_key, succ_state in out_states:
                 self._merge_in(succ_key, succ_state, work)
-        self._record_at_fixpoint()
-        return classify(self)
-
-    def _record_at_fixpoint(self) -> None:
-        """Re-derive the access tables from the converged states only.
-
-        During the fixpoint the tables accumulate *transient*
-        enumerations — a loop index seen as [0..12] on the iteration
-        before widening enumerates words past the array it indexes, and
-        the monotone tables would keep them forever.  At the fixpoint
-        the same access is a widened range that the symbol clamper
-        confines to the right a-loc, so one recording pass over the
-        final states yields strictly tighter sources and sinks.
-        """
-        self.writes_fp.clear()
-        self.writes_int.clear()
-        self.write_widths.clear()
-        self.reads_int.clear()
-        self.reads_fp.clear()
+        # Re-derive the recorded tables from the converged states only.
+        # During the fixpoint they accumulate *transient* enumerations —
+        # a loop index seen as [0..12] on the iteration before widening
+        # enumerates words past the array it indexes, and the monotone
+        # tables would keep them forever.  At the fixpoint the same
+        # access is a widened range that the symbol clamper confines to
+        # the right a-loc, so one recording pass over the final states
+        # yields strictly tighter results.
+        self._clear_records()
         sink: list = []  # transfer at fixpoint re-queues nothing real
         for (ctx, addr), st in sorted(self.states.items()):
             ins = self.binary.text_map.get(addr)
@@ -218,7 +204,7 @@ class ValueSetAnalysis:
             self._ctx = ctx
             self._transfer(ins, st, sink)
 
-    def _merge_in(self, key: tuple[int, int], state: AbsState,
+    def _merge_in(self, key: tuple[int, int], state,
                   work: list[tuple[int, int]]) -> None:
         old = self.states.get(key)
         if old is None:
@@ -233,36 +219,8 @@ class ValueSetAnalysis:
             work.append(key)
 
     # ------------------------------------------------------------------ #
-    # evaluation helpers                                                  #
+    # addressing and the global value map                                 #
     # ------------------------------------------------------------------ #
-
-    def _eval_ea(self, mem: Mem, st: AbsState):
-        v = Num(SI.const(mem.disp))
-        if mem.base is not None:
-            v = add_val(st.regs.get(canonical(mem.base)), v)
-        if mem.index is not None:
-            iv = st.regs.get(canonical(mem.index))
-            if isinstance(iv, Num):
-                v = add_val(v, Num(iv.si.mul_const(mem.scale)))
-            elif iv is BOTTOM or v is BOTTOM:
-                v = BOTTOM
-            else:
-                v = TOP
-        return v
-
-    def _access(self, mem: Mem, st: AbsState) -> AccessSet:
-        return resolve_access(self._eval_ea(mem, st), mem.size)
-
-    def _record(self, table: dict, addr: int, acc: AccessSet) -> None:
-        if acc.is_empty():
-            return  # BOTTOM address: path not yet stable, nothing real
-        old = table.get(addr)
-        if old is None:
-            table[addr] = acc
-            return
-        table[addr] = AccessSet(old.alocs | acc.alocs,
-                                tuple(set(old.ranges) | set(acc.ranges)),
-                                old.top or acc.top)
 
     @staticmethod
     def _stack_aloc(val) -> tuple | None:
@@ -272,56 +230,24 @@ class ValueSetAnalysis:
             return ("s", val.fn, off - (off % 8))
         return None
 
-    def _read_int_value(self, ins: Instruction, mem: Mem, st: AbsState,
-                        width: int):
-        """Model an integer load: record the sink candidate, return the
-        abstract loaded value (precise for tracked stack slots and
-        never-written globals)."""
-        ea = self._eval_ea(mem, st)
-        acc = resolve_access(ea, mem.size)
-        if acc.is_empty():
-            return BOTTOM
-        ev = self.reads_int.get(ins.addr)
-        if ev is None:
-            self.reads_int[ins.addr] = ReadEvent(ins.addr, acc, width)
-        else:
-            merged = AccessSet(ev.access.alocs | acc.alocs,
-                               tuple(set(ev.access.ranges) | set(acc.ranges)),
-                               ev.access.top or acc.top)
-            self.reads_int[ins.addr] = ReadEvent(ins.addr, merged, width)
-        key = self._stack_aloc(ea)
-        if key is not None:
-            return st.stack_get(key)
-        # global reads: join the (flow-insensitive) tracked values over
-        # the words of the data *symbol* the address starts in — value
-        # tracking never crosses a-loc (symbol) boundaries, so a read
-        # whose index over-approximates past its array cannot absorb
-        # unrelated data (e.g. FP constants) into an address value
-        if isinstance(ea, Num) and not ea.si.top:
-            keys = self._clamped_range_alocs(ea.si.lo,
-                                             ea.si.hi + mem.size - 1)
-            if keys is not None:
-                return self._join_global_reads(ins, keys)
-        return TOP
-
     def _join_global_reads(self, ins: Instruction, keys):
-        val = BOTTOM
+        val = self._bottom
         for gkey in keys:
             self.global_readers.setdefault(gkey, set()).add(
                 (self._ctx, ins.addr))
             if self._global_poisoned(gkey[1]):
-                return TOP
+                return self._top
             cur = self.global_vals.get(gkey)
             if cur is None:
                 cur = self._static_global_value(gkey)
-            val = join_vals(val, cur)
+            val = self._join_val(val, cur)
         return val
 
     def _update_global(self, gkey, val, work) -> None:
         """Monotone weak update; re-queues affected readers."""
         old = self.global_vals.get(gkey)
         seeded = old if old is not None else self._static_global_value(gkey)
-        new = join_vals(seeded, val)
+        new = self._join_val(seeded, val)
         if new != seeded or gkey not in self.global_vals:
             self.global_vals[gkey] = new
             for reader in self.global_readers.get(gkey, ()):
@@ -329,7 +255,7 @@ class ValueSetAnalysis:
 
     def _poison_globals(self, lo, hi, work) -> None:
         """A write that cannot be enumerated: value tracking for the
-        covered region (or everything) degrades to TOP."""
+        covered region (``None``: everything) degrades to top."""
         rng = (lo, hi) if lo is not None else (-(1 << 62), 1 << 62)
         for existing in self._poisoned:
             if existing[0] <= rng[0] and rng[1] <= existing[1]:
@@ -363,6 +289,108 @@ class ValueSetAnalysis:
         if (hi - base) // 8 + 1 > 64:
             return None
         return [("g", a) for a in range(base, hi + 1, 8)]
+
+
+class ValueSetAnalysis(WorklistFixpoint):
+    """The paper's static analyzer, operating on our ISA."""
+
+    _bottom = BOTTOM
+    _top = TOP
+    _join_val = staticmethod(join_vals)
+
+    def __init__(self, binary: Binary, k: int = 1) -> None:
+        super().__init__(binary, CFG.build(binary))
+        #: call-string depth: 1 = per-call-site callee copies, 0 = merged
+        self.k = k
+        self.contexts: set[int] = {0}
+
+        # accumulated memory classification (monotone)
+        self.writes_fp: dict[int, AccessSet] = {}   # instr -> access set
+        self.writes_int: dict[int, AccessSet] = {}
+        self.write_widths: dict[int, int] = {}      # instr -> min store width
+        self.reads_int: dict[int, ReadEvent] = {}
+        self.reads_fp: dict[int, AccessSet] = {}
+        self.movq_sinks: set[int] = set()
+        self.bitwise_sites: set[int] = set()
+
+    # ------------------------------------------------------------------ #
+    def run(self) -> AnalysisReport:
+        from repro.analysis.sources_sinks import classify
+
+        regs = RegState.entry(self.binary.entry, RegState.top_state())
+        self._solve(AbsState(regs, {}))
+        return classify(self)
+
+    def _clear_records(self) -> None:
+        self.writes_fp.clear()
+        self.writes_int.clear()
+        self.write_widths.clear()
+        self.reads_int.clear()
+        self.reads_fp.clear()
+
+    # ------------------------------------------------------------------ #
+    # evaluation helpers                                                  #
+    # ------------------------------------------------------------------ #
+
+    def _eval_ea(self, mem: Mem, st: AbsState):
+        v = Num(SI.const(mem.disp))
+        if mem.base is not None:
+            v = add_val(st.regs.get(canonical(mem.base)), v)
+        if mem.index is not None:
+            iv = st.regs.get(canonical(mem.index))
+            if isinstance(iv, Num):
+                v = add_val(v, Num(iv.si.mul_const(mem.scale)))
+            elif iv is BOTTOM or v is BOTTOM:
+                v = BOTTOM
+            else:
+                v = TOP
+        return v
+
+    def _access(self, mem: Mem, st: AbsState) -> AccessSet:
+        return resolve_access(self._eval_ea(mem, st), mem.size)
+
+    def _record(self, table: dict, addr: int, acc: AccessSet) -> None:
+        if acc.is_empty():
+            return  # BOTTOM address: path not yet stable, nothing real
+        old = table.get(addr)
+        if old is None:
+            table[addr] = acc
+            return
+        table[addr] = AccessSet(old.alocs | acc.alocs,
+                                tuple(set(old.ranges) | set(acc.ranges)),
+                                old.top or acc.top)
+
+    def _read_int_value(self, ins: Instruction, mem: Mem, st: AbsState,
+                        width: int):
+        """Model an integer load: record the sink candidate, return the
+        abstract loaded value (precise for tracked stack slots and
+        never-written globals)."""
+        ea = self._eval_ea(mem, st)
+        acc = resolve_access(ea, mem.size)
+        if acc.is_empty():
+            return BOTTOM
+        ev = self.reads_int.get(ins.addr)
+        if ev is None:
+            self.reads_int[ins.addr] = ReadEvent(ins.addr, acc, width)
+        else:
+            merged = AccessSet(ev.access.alocs | acc.alocs,
+                               tuple(set(ev.access.ranges) | set(acc.ranges)),
+                               ev.access.top or acc.top)
+            self.reads_int[ins.addr] = ReadEvent(ins.addr, merged, width)
+        key = self._stack_aloc(ea)
+        if key is not None:
+            return st.stack_get(key)
+        # global reads: join the (flow-insensitive) tracked values over
+        # the words of the data *symbol* the address starts in — value
+        # tracking never crosses a-loc (symbol) boundaries, so a read
+        # whose index over-approximates past its array cannot absorb
+        # unrelated data (e.g. FP constants) into an address value
+        if isinstance(ea, Num) and not ea.si.top:
+            keys = self._clamped_range_alocs(ea.si.lo,
+                                             ea.si.hi + mem.size - 1)
+            if keys is not None:
+                return self._join_global_reads(ins, keys)
+        return TOP
 
     def _static_global_value(self, gkey):
         addr = gkey[1]

@@ -138,6 +138,19 @@ class Session:
                     if is_fp_trapping(ins.mnemonic)]
 
         self.conservative = conservative
+        self.fpvm: FPVM | None = None
+        self.range_report = None
+        if arith is not None:
+            self.fpvm = FPVM(arith, config)
+            if self.fpvm.sanitizer is not None:
+                # interval-range pass: statically prove sites
+                # divergence-free so the dual-path check may skip them.
+                # It runs first, on the unpatched binary: its cold path
+                # fills the analysis cache, so VSA runs once
+                from repro.analysis.ranges import analyze_ranges
+
+                self.range_report = analyze_ranges(
+                    binary, threshold=self.fpvm.sanitizer.config.threshold)
         self.analysis = (analyze_and_patch(binary, conservative=conservative)
                          if self.patched else None)
         self.machine = load_binary(binary, platform=platform,
@@ -207,23 +220,13 @@ class Session:
                             source="patcher",
                         ))
 
-        self.fpvm: FPVM | None = None
-        self.range_report = None
-        if arith is not None:
-            self.fpvm = FPVM(arith, config)
+        if self.fpvm is not None:
             self.fpvm.install(self.machine)
             self.fpvm.apply_analysis(self.analysis)
-            if (self.fpvm.sanitizer is not None
-                    and self.fpvm.sanitizer.config.exempt):
-                # interval-range pass: statically prove sites
-                # divergence-free so the dual-path check skips them
-                from repro.analysis.ranges import analyze_ranges
-
-                rr = analyze_ranges(
-                    binary,
-                    threshold=self.fpvm.sanitizer.config.threshold)
+            rr = self.range_report
+            if rr is not None:
+                # exemptions apply only when SanitizeConfig.exempt is set
                 self.fpvm.apply_range_analysis(rr)
-                self.range_report = rr
                 if self.trace is not None:
                     self.trace.emit(RangeAnalysisEvent(
                         binary_hash=rr.binary_hash,

@@ -6,7 +6,6 @@ are all pure observers."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ranges import analyze_ranges
 from repro.compiler import compile_source
 from repro.fpvm.runtime import FPVMConfig
 from repro.fpvm.sanitize import SanitizeConfig
@@ -64,7 +63,7 @@ def test_statically_exempt_sites_never_flag(expr, a, b, c):
         threshold=1e-6, precision=80, exempt=False))
     sess = Session(lambda: compile_source(src), ("sanitize", 80),
                    config=cfg)
-    rr = analyze_ranges(sess.binary, threshold=1e-6)
+    rr = sess.range_report
     sess.run()
     flagged = set(sess.fpvm.sanitizer.flagged_sites())
     assert not (flagged & rr.proven), (

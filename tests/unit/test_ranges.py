@@ -4,16 +4,20 @@ on compiled loops, and the proven/exact site classification."""
 
 import math
 
+from repro.analysis import clear_cache
 from repro.analysis.ranges import (FBOT, FTOP, FPState, Rng,
-                                   analyze_ranges, clear_ranges_cache,
-                                   _join_fp)
+                                   analyze_ranges, _join_fp)
+from repro.analysis.vsa import ValueSetAnalysis
 from repro.compiler import compile_source
+from repro.fpvm.runtime import FPVMConfig
+from repro.fpvm.sanitize import SanitizeConfig
+from repro.session import Session
 
 INF = math.inf
 
 
 def build(src):
-    clear_ranges_cache()
+    clear_cache()
     return compile_source(src)
 
 
@@ -51,21 +55,21 @@ class TestJoin:
 
 class TestFPState:
     def test_absent_stack_slot_is_unknown(self):
-        st = FPState((FTOP,) * 16, ())
+        st = FPState((FTOP,) * 16, {})
         assert st.stack_get(("s", 0x400000, -8)) is FTOP
 
     def test_join_drops_one_sided_slots(self):
         key = ("s", 0x400000, -8)
-        a = FPState((FTOP,) * 16, ((key, Rng(1.0, 1.0, 0.0)),))
-        b = FPState((FTOP,) * 16, ())
+        a = FPState((FTOP,) * 16, {key: Rng(1.0, 1.0, 0.0)})
+        b = FPState((FTOP,) * 16, {})
         assert a.join(b).stack_get(key) is FTOP
         j = a.join(a)
         assert j.stack_get(key) == Rng(1.0, 1.0, 0.0)
 
     def test_storing_unknown_erases(self):
         key = ("s", 0x400000, -8)
-        st = FPState((FTOP,) * 16, ((key, Rng(1.0, 1.0, 0.0)),))
-        assert st.stack_set(key, FTOP).stack == ()
+        st = FPState((FTOP,) * 16, {key: Rng(1.0, 1.0, 0.0)})
+        assert st.stack_set(key, FTOP).stack == {}
 
 
 # --------------------------------------------------------------------------- #
@@ -236,9 +240,14 @@ class TestReport:
         again = analyze_ranges(b)
         assert again.cache_hit
         assert again.proven == first.proven
-        # a different threshold is a different cache key
+        # the fixpoint never reads the threshold: a second threshold is
+        # a cache hit, classified per call, and a looser threshold
+        # proves a superset of the sites
         other = analyze_ranges(b, threshold=1e-3)
-        assert not other.cache_hit
+        assert other.cache_hit
+        assert other.threshold == 1e-3 and first.threshold == 1e-6
+        assert other.proven >= first.proven
+        assert other.bounds == first.bounds
 
     def test_to_dict_and_summary(self):
         b = build(self.SRC)
@@ -250,3 +259,26 @@ class TestReport:
         text = r.summary(top=5)
         assert "proven divergence-free" in text
         assert "bit-exact" in text
+
+    def test_cold_sanitize_session_runs_vsa_once(self, monkeypatch):
+        """The range pass runs first and reuses the analysis's cold
+        path, so patching is a cache hit: one VSA per binary."""
+        runs = []
+        run = ValueSetAnalysis.run
+
+        def counted(vsa):
+            runs.append(vsa.binary.entry)
+            return run(vsa)
+
+        monkeypatch.setattr(ValueSetAnalysis, "run", counted)
+        sess = Session(build(self.SRC), ("sanitize", 80))
+        assert len(runs) == 1
+        assert not sess.range_report.cache_hit
+        assert sess.analysis.cache_hit
+
+    def test_every_sanitizer_session_carries_ranges(self):
+        cfg = FPVMConfig(sanitize=SanitizeConfig(precision=80,
+                                                 exempt=False))
+        sess = Session(build(self.SRC), ("sanitize", 80), config=cfg)
+        assert sess.range_report is not None and sess.range_report.exact
+        assert not sess.fpvm.sanitizer.exempt  # exemption stays off
