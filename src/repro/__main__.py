@@ -85,16 +85,6 @@ def _print_run(res, label: str, stats: bool) -> None:
                       file=sys.stderr)
                 print(f"  boxes elided       : {st.boxes_elided}",
                       file=sys.stderr)
-            if st.trace_loops_compiled:
-                print(f"  traced loops       : "
-                      f"{st.trace_loops_compiled} compiled "
-                      f"({st.trace_record_aborts} record aborts, "
-                      f"{st.trace_invalidations} invalidated)",
-                      file=sys.stderr)
-                print(f"  trace iterations   : {st.trace_hits} "
-                      f"({st.trace_deopts} deopts, "
-                      f"{st.trace_side_exits} side exits)",
-                      file=sys.stderr)
             print(f"  arithmetic system  : {res.fpvm.arith.describe()}",
                   file=sys.stderr)
 
@@ -162,53 +152,41 @@ def cmd_run(args) -> int:
     builder, label = _load_builder(args)
     sink = _make_sink(args)
     lanes = _load_lane_specs(args)
-    if lanes is not None:
-        if args.native:
-            session = Session(builder, None, trace=sink, label=label)
-        else:
-            arith = parse_arith(args.arith)
-            mode = args.mode or ("trap-and-patch" if args.patch_mode
-                                 else "trap-and-emulate")
-            config = FPVMConfig(mode=mode, trace=sink,
-                                jit_threshold=args.jit,
-                                trace_jit_threshold=args.trace_jit,
-                                gc_mode=args.gc_mode)
-            session = Session(builder, arith, config=config,
-                              patch=not args.no_patch,
-                              delivery_scenario=args.scenario, label=label)
-        with session as s:
-            batch = s.run_batch(lanes)
-        _print_batch(batch, label, args.stats)
-        if sink is not None:
-            print(f"trace written to {args.trace} ({sink.emitted} events)",
-                  file=sys.stderr)
-        return 0 if batch.ok else 1
     if args.native:
-        with Session(builder, None, trace=sink, label=label) as s:
-            res = s.run()
-        _print_run(res, f"{label} (native)", args.stats)
+        session = Session(builder, None, trace=sink, label=label)
     else:
         arith = parse_arith(args.arith)
         mode = args.mode or ("trap-and-patch" if args.patch_mode
                              else "trap-and-emulate")
         config = FPVMConfig(mode=mode, trace=sink,
                             jit_threshold=args.jit,
-                            trace_jit_threshold=args.trace_jit,
                             gc_mode=args.gc_mode)
-        with Session(builder, arith, config=config,
-                     patch=not args.no_patch,
-                     delivery_scenario=args.scenario, label=label) as s:
+        session = Session(builder, arith, config=config,
+                          patch=not args.no_patch,
+                          delivery_scenario=args.scenario, label=label)
+    if lanes is not None:
+        with session as s:
+            batch = s.run_batch(lanes)
+        _print_batch(batch, label, args.stats)
+        code = 0 if batch.ok else 1
+    else:
+        with session as s:
             res = s.run()
-        if args.slowdown:
-            with Session(builder, None, label=label) as ns:
-                nat = ns.run()
-            print(f"  modeled slowdown   : {slowdown(nat, res):.0f}x",
-                  file=sys.stderr)
-        _print_run(res, f"{label} (FPVM+{arith.describe()})", args.stats)
+        if args.native:
+            _print_run(res, f"{label} (native)", args.stats)
+        else:
+            if args.slowdown:
+                with Session(builder, None, label=label) as ns:
+                    nat = ns.run()
+                print(f"  modeled slowdown   : {slowdown(nat, res):.0f}x",
+                      file=sys.stderr)
+            _print_run(res, f"{label} (FPVM+{arith.describe()})",
+                       args.stats)
+        code = res.exit_code
     if sink is not None:
         print(f"trace written to {args.trace} ({sink.emitted} events)",
               file=sys.stderr)
-    return res.exit_code
+    return code
 
 
 def cmd_workload(args) -> int:
@@ -609,10 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--jit", type=int, default=0, metavar="N",
                         help="compile a trap site to a specialized "
                              "closure after N traps (0 disables; "
-                             "trap-and-emulate mode only)")
-        sp.add_argument("--trace-jit", type=int, default=0, metavar="N",
-                        help="trace-compile a hot loop after N "
-                             "back-edge executions (0 disables; "
                              "trap-and-emulate mode only)")
         sp.add_argument("--gc-mode", default="full",
                         choices=("full", "incremental"),

@@ -29,8 +29,7 @@ All four §3 approaches are implemented as execution modes:
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ArithmeticPortError, MachineError, NanBoxError
@@ -58,12 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class FPVMConfig:
-    """All FPVM tunables in one place (replaces the keyword sprawl).
+    """All FPVM tunables in one place.
 
-    ``FPVM(arith, FPVMConfig(...))`` and ``Session(..., config=...)``
-    are the supported spellings; the legacy ``FPVM(arith, mode=...,
-    gc_epoch_cycles=...)`` keywords still work for one release but are
-    deprecated.
+    Pass it as ``FPVM(arith, FPVMConfig(...))`` or
+    ``Session(..., config=...)``.
     """
 
     mode: str = "trap-and-emulate"
@@ -89,10 +86,6 @@ class FPVMConfig:
     #: scans only pages dirtied since their last scan (write-barrier
     #: bits) and replays remembered candidates for clean pages
     gc_mode: str = "full"
-    #: tracing JIT: backward-branch executions at one loop header before
-    #: the loop body is trace-recorded and compiled to a single Python
-    #: function (0 disables; trap-and-emulate mode, predecode machines)
-    trace_jit_threshold: int = 0
     #: sanitizer tunables; only consulted when the arithmetic is a
     #: DualPathArithmetic (``None`` uses SanitizeConfig defaults)
     sanitize: "object | None" = None
@@ -115,34 +108,10 @@ _LIBM_MAP: dict[str, tuple[str, int]] = {
 class FPVM:
     """A floating point virtual machine bound to one arithmetic system."""
 
-    def __init__(
-        self,
-        arith: AlternativeArithmetic,
-        config: FPVMConfig | None = None,
-        *,
-        mode: str | None = None,
-        box_exact_results: bool | None = None,
-        gc_epoch_cycles: int | None = None,
-        printf_shadow_digits: int | None = None,
-        trace: "TraceSink | None" = None,
-    ) -> None:
-        legacy = {k: v for k, v in (
-            ("mode", mode),
-            ("box_exact_results", box_exact_results),
-            ("gc_epoch_cycles", gc_epoch_cycles),
-            ("printf_shadow_digits", printf_shadow_digits),
-        ) if v is not None}
-        if legacy:
-            warnings.warn(
-                "FPVM keyword arguments "
-                f"{sorted(legacy)} are deprecated; pass an FPVMConfig",
-                DeprecationWarning, stacklevel=2)
+    def __init__(self, arith: AlternativeArithmetic,
+                 config: FPVMConfig | None = None) -> None:
         if config is None:
             config = FPVMConfig()
-        if legacy:
-            config = replace(config, **legacy)
-        if trace is not None:
-            config = replace(config, trace=trace)
         if config.mode not in ("trap-and-emulate", "trap-and-patch", "static"):
             raise ValueError(f"unknown FPVM mode {config.mode!r}")
         if config.gc_mode not in ("full", "incremental"):
@@ -205,9 +174,6 @@ class FPVM:
                 self, config.jit_threshold)
         else:
             self.jit = None
-        #: tracing JIT — created at install time (needs the machine's
-        #: predecode dispatch table); None until then / when disabled
-        self.tracejit = None
 
     # ------------------------------------------------------------------ #
     # install / uninstall                                                 #
@@ -235,13 +201,6 @@ class FPVM:
         if self.config.watchdog_cycles is not None:
             machine.cycle_watchdog = self.config.watchdog_cycles
         self._interpose_externs(machine)
-        if (self.config.trace_jit_threshold > 0
-                and self.mode == "trap-and-emulate"
-                and getattr(machine, "_blocks", None) is not None):
-            from repro.fpvm.tracejit import TraceJIT
-            self.tracejit = TraceJIT(
-                machine, self.config.trace_jit_threshold, fpvm=self)
-            self.tracejit.attach()
 
     def apply_analysis(self, report) -> None:
         """Register static-analysis facts with the runtime (§4.2 v2).
@@ -293,9 +252,6 @@ class FPVM:
         m = self.machine
         if m is None:
             return
-        if self.tracejit is not None:
-            self.tracejit.detach("uninstall")
-            self.tracejit = None
         if self.jit is not None:
             self.jit.invalidate_all(m, "uninstall")
         self.demote_all_memory(m)
@@ -396,13 +352,6 @@ class FPVM:
     # ------------------------------------------------------------------ #
 
     def _on_gc_sweep(self, freed) -> None:
-        # the trace recorder must hear about the sweep *before* the
-        # bind cache flushes: a recording in flight may already have
-        # captured steps holding now-reclaimed handles, and aborting it
-        # here (rather than after the caches look clean again) is what
-        # keeps stale handles out of compiled traces
-        if self.tracejit is not None:
-            self.tracejit.note_sweep(freed)
         affected = self.bind_cache.invalidate_swept(freed)
         if self.jit is not None and affected:
             self.jit.clear_memos(affected)
@@ -426,10 +375,6 @@ class FPVM:
             # compiled step's own fault exit already did this; covers
             # degradations reached through other paths too)
             self.jit.invalidate_site(machine, ins.addr, "degrade")
-        if self.tracejit is not None:
-            # same contract for loop traces: a degraded instruction
-            # inside a trace invalidates the whole trace
-            self.tracejit.invalidate_containing(ins.addr, "degrade")
         demoted = self._demote_operands(machine, ins)
         self._execute_vanilla(machine, ins)
         self.stats.degradations += 1

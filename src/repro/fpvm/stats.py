@@ -71,12 +71,13 @@ class FPVMStats:
     jit_fast_path: int = 0
     jit_invalidations: int = 0
     boxes_elided: int = 0
-    #: tracing JIT: hot loops compiled to trace functions, recordings
-    #: aborted (GC sweep, unsupported shape, too long), iterations run
-    #: inside compiled traces (trace_hits), guard failures that
-    #: deoptimized to the interpreter (trace_deopts), ordinary loop
-    #: exits through branch guards (trace_side_exits), and traces torn
-    #: down by faults/patches/storms (trace_invalidations)
+    #: tracing JIT (machine-only: a TraceJIT owns its own FPVMStats, so
+    #: an FPVM's copy always reads 0): hot loops compiled to trace
+    #: functions, recordings aborted (too long, halted, unmapped),
+    #: iterations run inside compiled traces (trace_hits), guard
+    #: failures that deoptimized to the interpreter (trace_deopts),
+    #: ordinary loop exits through branch guards (trace_side_exits), and
+    #: traces torn down by patches/storms (trace_invalidations)
     trace_loops_compiled: int = 0
     trace_record_aborts: int = 0
     trace_hits: int = 0

@@ -3,22 +3,24 @@
 The predecode interpreter (``machine/predecode.py``) pays a dict fetch,
 a closure call, and per-step accounting on every instruction, and the
 SoftFPU pays a bits->float->bits round trip per FP op.  This module
-removes both from hot loops, PyPy-style:
+removes both from hot loops of a plain machine, PyPy-style:
 
 1. **Hot-loop detection** — backward direct branches report their
    target through ``machine._loop_hook``; past ``threshold`` executions
    the loop header is recorded.
 2. **Trace recording** — ``_record`` follows one real iteration
-   instruction-by-instruction (through superblock boundaries and fpvm
-   trap sites — the steps *execute* while being captured, so recording
-   never perturbs architectural state).
+   instruction-by-instruction through superblock boundaries (the steps
+   *execute* while being captured, so recording never perturbs
+   architectural state).
 3. **Optimization** — the ``_OptEmitter`` promotes GPRs, RFLAGS, and
    XMM lanes into Python locals, keeps loop-carried FP values in the
    *float domain* across iterations (unbox/rebox sinking: bits are
    rematerialized at the back edge, the full architectural state only
    on exits), value-numbers effective-address computations (pure-op
    CSE), folds register constants, and strengthens every assumption
-   into an explicit guard.
+   into an explicit guard.  FP arithmetic is inlined under a
+   finiteness invariant (every float-form local is finite, guarded at
+   each unbox and each FP result).
 4. **Emission** — each trace is ``exec``-compiled into one Python
    function installed at ``machine._blocks[header]``; the fast fetch
    loop enters it like any superblock.  Guard failures deoptimize by
@@ -26,23 +28,12 @@ removes both from hot loops, PyPy-style:
    ``fp_instr_count`` / cycle charges), flushing locals back to the
    register file, and returning to the interpreter at a precise RIP.
 
-Traces interact with the rest of the VM exactly like trap-site JIT
-closures: faults and storms (``FPVM._degrade``) invalidate the
-containing trace, binary patches invalidate through a patch listener,
-and a GC sweep that lands mid-recording aborts the recording cleanly
-(``note_sweep``) so no stale shadow state is baked in.
-
-Two emitters share the pipeline:
-
-* **opt** — machine-only traces (no FPVM trap handler): FP arithmetic
-  is inlined in the float domain under a finiteness invariant (every
-  float-form local is finite, guarded at each unbox and each FP
-  result).  This is where the order-of-magnitude win lives.
-* **chain** — the general fallback (and the only mode under an
-  installed FPVM handler): the recorded step closures are replayed
-  with a RIP/validity check after every non-straight-line step.
-  Observationally identical by construction; still skips the fetch
-  loop's per-block dict traffic.
+The tracer is machine-only: it records nothing while an FPVM trap
+handler (or a soundness oracle) is installed, and every trace's entry
+guard re-checks that.  A recorded loop that uses an instruction the
+emitter cannot inline is not compiled; its header is blacklisted and
+stays interpreted.  Binary patches invalidate the traces that cover
+the patched address through a patch listener.
 """
 
 from __future__ import annotations
@@ -53,13 +44,12 @@ from typing import TYPE_CHECKING
 
 from repro.isa.operands import Imm, Mem, Reg, Xmm
 from repro.isa.registers import canonical, subreg_size
-from repro.machine.predecode import _BLOCK_SAFE, _base_cost, _block_at
+from repro.machine.predecode import _base_cost, _block_at
 from repro.fpvm.stats import FPVMStats
 from repro.trace.events import (TraceCompileEvent, TraceDeoptEvent,
                                 TraceRecordEvent)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fpvm.runtime import FPVM
     from repro.machine.cpu import Machine
 
 _M64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -77,17 +67,6 @@ def _b2f(b: int) -> float:
 def _f2b(f: float) -> int:
     return _up_q(_pk_d(f))[0]
 
-
-#: steps that may divert through the FPVM trap handler: a post-step RIP
-#: mismatch there is a deopt (the handler took over), not a side exit
-_FP_DIVERT = frozenset([
-    "addsd", "subsd", "mulsd", "divsd", "minsd", "maxsd",
-    "addpd", "subpd", "mulpd", "divpd", "minpd", "maxpd",
-    "addss", "subss", "mulss", "divss",
-    "sqrtsd", "sqrtpd", "ucomisd", "comisd", "cmpsd", "roundsd",
-    "fmaddsd", "cvtsi2sd", "cvttsd2si", "cvtsd2si", "cvtsd2ss",
-    "cvtss2sd", "fpvm_trap", "fpvm_patch",
-])
 
 #: FP instructions the opt emitter inlines; each consults ``_fp_event``
 #: in the interpreter, so each contributes one ``fp_instr_count`` tick
@@ -107,22 +86,20 @@ _COND_EXPR = {
 
 
 class _Unsupported(Exception):
-    """Raised by the opt emitter to fall back to chain mode."""
+    """Raised by the opt emitter for a loop it cannot compile."""
 
 
 class TraceInfo:
     __slots__ = ("header", "fn", "mode", "length", "addrs", "valid",
-                 "handler", "hits", "deopts", "side_exits", "entry_fails",
-                 "src")
+                 "hits", "deopts", "side_exits", "entry_fails", "src")
 
-    def __init__(self, header, length, addrs, handler):
+    def __init__(self, header, length, addrs):
         self.header = header
         self.fn = None
-        self.mode = "chain"
+        self.mode = "opt"
         self.length = length
         self.addrs = addrs
         self.valid = True
-        self.handler = handler
         self.hits = 0
         self.deopts = 0
         self.side_exits = 0
@@ -131,18 +108,14 @@ class TraceInfo:
 
 
 class TraceJIT:
-    """Hot-loop tracer for one machine (optionally under one FPVM)."""
+    """Hot-loop tracer for one machine without an FPVM installed."""
 
-    def __init__(self, machine: "Machine", threshold: int = 50,
-                 fpvm: "FPVM | None" = None,
-                 stats: FPVMStats | None = None) -> None:
+    def __init__(self, machine: "Machine", threshold: int = 50) -> None:
         if machine._blocks is None:
             raise ValueError("tracing JIT requires a predecoded machine")
         self.machine = machine
         self.threshold = threshold
-        self.fpvm = fpvm
-        self.stats = fpvm.stats if fpvm is not None else (
-            stats if stats is not None else FPVMStats())
+        self.stats = FPVMStats()
         self.traces: dict[int, TraceInfo] = {}
         self.counts: dict[int, int] = {}
         self.compiles: dict[int, int] = {}
@@ -151,10 +124,8 @@ class TraceJIT:
         self.max_trace_len = 256
         self.max_compiles_per_loop = 4
         self._busy = False
-        self._recording = False
         self._abort_reason: str | None = None
         self._detached = False
-        self._retired: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # wiring                                                              #
@@ -164,31 +135,20 @@ class TraceJIT:
         self.machine._loop_hook = self._on_back_edge
         self.machine.binary.add_patch_listener(self._on_patch)
 
-    def detach(self, reason: str = "detach") -> None:
-        """Tear down silently: retire events, restore blocks, unhook."""
-        self.flush_events()
+    def detach(self) -> None:
+        """Tear down: emit a retire row per live trace (its final
+        hit/deopt totals), restore the plain blocks, unhook."""
         m = self.machine
         for info in list(self.traces.values()):
+            self._emit(TraceCompileEvent(
+                header=info.header, length=info.length, mode=info.mode,
+                action="retire", hits=info.hits, deopts=info.deopts))
             info.valid = False
             self._deinstall(info)
         self.traces.clear()
         if m._loop_hook is self._on_back_edge:
             m._loop_hook = None
         self._detached = True
-
-    def flush_events(self) -> None:
-        """Emit a retire row per live trace (end-of-run bookkeeping).
-
-        Idempotent per trace: a session close followed by an uninstall
-        must not double-report the totals.
-        """
-        for info in self.traces.values():
-            if info.header in self._retired:
-                continue
-            self._retired.add(info.header)
-            self._emit(TraceCompileEvent(
-                header=info.header, length=info.length, mode=info.mode,
-                action="retire", hits=info.hits, deopts=info.deopts))
 
     def _on_patch(self, ins) -> None:
         if not self._detached:
@@ -204,11 +164,6 @@ class TraceJIT:
     # hot-loop detection                                                  #
     # ------------------------------------------------------------------ #
 
-    def _assumptions_hold(self, info: TraceInfo) -> bool:
-        m = self.machine
-        return (m.fp_trap_handler is info.handler and m.oracle is None
-                and m._blocks is not None)
-
     def _on_back_edge(self, tgt: int) -> None:
         if self._busy or not self.machine._in_fast_loop:
             return
@@ -220,7 +175,7 @@ class TraceJIT:
                 # long as the trace's assumptions still hold
                 m = self.machine
                 if (m._blocks.get(tgt) is not info.fn
-                        and self._assumptions_hold(info)):
+                        and m.fp_trap_handler is None and m.oracle is None):
                     m._blocks[tgt] = info.fn
                 return
             self.traces.pop(tgt, None)
@@ -235,19 +190,17 @@ class TraceJIT:
 
     def _hot(self, header: int) -> None:
         m = self.machine
-        if m.oracle is not None or m.halted:
+        if m.fp_trap_handler is not None or m.oracle is not None or m.halted:
             return
         n = self.compiles.get(header, 0)
         if n >= self.max_compiles_per_loop:
             self.blacklist.add(header)
             return
         self._busy = True
-        self._recording = True
         self._abort_reason = None
         try:
             rec = self._record(header)
         finally:
-            self._recording = False
             self._busy = False
         if rec is None:
             self.stats.trace_record_aborts += 1
@@ -296,9 +249,6 @@ class TraceJIT:
                 self._abort_reason = "unmapped-rip"
                 return None
             step()
-            if self._abort_reason is not None:
-                # e.g. a GC sweep reclaimed shadow handles mid-recording
-                return None
             if m.halted:
                 self._abort_reason = "halted"
                 return None
@@ -310,64 +260,20 @@ class TraceJIT:
         self._abort_reason = "too-long"
         return None
 
-    def note_sweep(self, freed) -> None:
-        """GC sweep notification: a recording in flight could bake state
-        that refers to the just-reclaimed shadow handles — abort it.
-        Must be called *before* downstream caches flush (satellite fix:
-        BindCache invalidation used to run first)."""
-        if self._recording:
-            self._abort_reason = "gc-sweep"
-
     # ------------------------------------------------------------------ #
     # compilation                                                         #
     # ------------------------------------------------------------------ #
 
     def _compile(self, header: int, rec) -> TraceInfo | None:
-        m = self.machine
+        """Compile a recorded loop, or ``None`` when the emitter does not
+        support one of its instructions (the loop stays interpreted)."""
         info = TraceInfo(header, len(rec),
-                         frozenset(ins.addr for ins, _, _ in rec),
-                         m.fp_trap_handler)
+                         frozenset(ins.addr for ins, _, _ in rec))
         try:
-            if info.handler is None:
-                try:
-                    _OptEmitter(self, info, rec).build()
-                except _Unsupported:
-                    self._compile_chain(info, rec)
-            else:
-                self._compile_chain(info, rec)
+            _OptEmitter(self, info, rec).build()
         except Exception:
             return None
         return info
-
-    def _compile_chain(self, info: TraceInfo, rec) -> None:
-        m = self.machine
-        env = {"m": m, "regs": m.regs, "I": info, "H": info.handler,
-               "TJ": self, "S": self.stats}
-        L = []
-        a = L.append
-        a("def trace():")
-        a("    if m.fp_trap_handler is not H or m.oracle is not None "
-          "or not I.valid:")
-        a("        TJ._entry_fail(I)")
-        a("        return")
-        a("    while True:")
-        a("        I.hits += 1")
-        a("        S.trace_hits += 1")
-        last = len(rec) - 1
-        for k, (ins, step, after) in enumerate(rec):
-            env["s%d" % k] = step
-            a("        s%d()" % k)
-            if ins.mnemonic in _BLOCK_SAFE and k != last:
-                continue
-            fp = ins.mnemonic in _FP_DIVERT
-            a("        if m.halted or regs.rip != %d or not I.valid:" % after)
-            a("            TJ._chain_exit(I, %d, %r)" % (ins.addr, fp))
-            a("            return")
-        src = "\n".join(L)
-        exec(compile(src, "<trace-chain@%#x>" % info.header, "exec"), env)
-        info.fn = env["trace"]
-        info.mode = "chain"
-        info.src = src
 
     # ------------------------------------------------------------------ #
     # runtime exits                                                       #
@@ -382,14 +288,6 @@ class TraceJIT:
         if info.entry_fails > 32 and info.valid:
             self._invalidate(info, "entry-thrash")
             self.blacklist.add(info.header)
-
-    def _chain_exit(self, info: TraceInfo, addr: int, fp_like: bool) -> None:
-        if not info.valid:
-            self._deopt(info, "invalidated", addr)
-        elif not self.machine.halted and fp_like:
-            self._deopt(info, "trap-divert", addr)
-        else:
-            self._side_exit(info)
 
     def _deopt(self, info: TraceInfo, reason: str, addr: int) -> None:
         info.deopts += 1
@@ -427,15 +325,10 @@ class TraceJIT:
 
     def invalidate_containing(self, addr: int, reason: str) -> None:
         """Invalidate every trace whose covered addresses include
-        ``addr`` — faults, storms, and patches tear traces down exactly
-        as they tear down trap-site JIT closures."""
+        ``addr`` (a binary patch rewrote an instruction it compiled)."""
         for info in list(self.traces.values()):
             if addr in info.addrs:
                 self._invalidate(info, reason)
-
-    def invalidate_all(self, reason: str) -> None:
-        for info in list(self.traces.values()):
-            self._invalidate(info, reason)
 
 
 # --------------------------------------------------------------------------- #
@@ -1314,7 +1207,7 @@ class _OptEmitter:
         self.info.src = src
 
 
-#: mnemonics the opt emitter can inline (everything else -> chain mode)
+#: mnemonics the opt emitter can inline (any other -> loop not compiled)
 _SUPPORTED = frozenset(
     ["mov", "movabs", "movzx", "movsx", "lea", "push", "pop",
      "add", "sub", "cmp", "and", "or", "xor", "test",

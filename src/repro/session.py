@@ -360,9 +360,6 @@ class Session:
 
     def close(self) -> None:
         """Flush/close the attached trace sink, if any."""
-        if self.fpvm is not None and self.fpvm.tracejit is not None:
-            # retire rows for still-live loop traces (hits/deopt totals)
-            self.fpvm.tracejit.flush_events()
         if self.trace is not None:
             self.trace.close()
 

@@ -295,9 +295,7 @@ class TraceRecordEvent(TraceEvent):
 
     ``ok`` marks a successful recording (``length`` instructions from
     the loop header back to itself); failures carry ``reason``
-    ("gc-sweep" — a collection reclaimed shadow handles mid-recording
-    and the trace was discarded rather than baking stale handles in,
-    "too-long", "halted", "unmapped-rip").
+    ("too-long", "halted", "unmapped-rip").
     """
 
     kind: ClassVar[str] = "trace_record"
@@ -312,12 +310,11 @@ class TraceRecordEvent(TraceEvent):
 class TraceCompileEvent(TraceEvent):
     """A loop trace compiled, invalidated, or retired.
 
-    ``mode`` is ``"opt"`` (machine-only optimizing emitter: registers
-    and loop-carried FP values live in Python locals) or ``"chain"``
-    (general fallback replaying the recorded interpreter steps).
-    ``action`` is ``"compile"``, ``"invalidate"`` (fault / patch /
-    deopt storm tore the trace down; ``reason`` says why), or
-    ``"retire"`` (runtime detached with the trace still live —
+    ``mode`` is always ``"opt"`` (the machine-only optimizing emitter:
+    registers and loop-carried FP values live in Python locals).
+    ``action`` is ``"compile"``, ``"invalidate"`` (patch / deopt storm
+    / entry-guard thrash tore the trace down; ``reason`` says why), or
+    ``"retire"`` (tracer detached with the trace still live —
     carries the final hit/deopt totals).
     """
 
@@ -338,8 +335,8 @@ class TraceDeoptEvent(TraceEvent):
 
     ``addr`` is the guarded instruction (execution resumes there, or at
     the branch target for post-branch exits); ``reason`` names the
-    failed guard ("nonfinite", "div-zero", "cvt-range", "neg-sqrt",
-    "trap-divert", "invalidated").  Ordinary loop exits through branch
+    failed guard ("nonfinite", "zero-divisor", "cvt-overflow",
+    "sqrt-negative").  Ordinary loop exits through branch
     guards are side exits, not deopts, and emit no event.
     """
 

@@ -213,80 +213,6 @@ class TestIncremental:
         assert swept == []
 
 
-class TestSweepVsTraceRecording:
-    """Regression: a GC sweep reclaiming shadow handles mid-trace-
-    recording must abort the recording cleanly (never bake a stale
-    handle into a compiled trace), and the runtime must notify the
-    recorder *before* the BindCache flush."""
-
-    @staticmethod
-    def _loop_machine(n=64):
-        from repro.isa.operands import Imm, Label, Reg
-
-        def body(a):
-            a.emit("mov", Reg("rcx"), Imm(n))
-            a.label("loop")
-            a.emit("dec", Reg("rcx"))
-            a.emit("jne", Label("loop"))
-
-        return load_binary(asm_program(body))
-
-    def test_note_sweep_aborts_only_inflight_recording(self):
-        from repro.fpvm.tracejit import TraceJIT
-
-        m = self._loop_machine()
-        tj = TraceJIT(m, threshold=4)
-        tj.note_sweep([1, 2])               # idle: nothing to abort
-        assert tj._abort_reason is None
-        tj._recording = True
-        tj.note_sweep([3])
-        assert tj._abort_reason == "gc-sweep"
-
-    def test_sweep_during_recording_discards_trace(self):
-        """A step that triggers a sweep mid-recording aborts that
-        recording; three strikes blacklist the loop, and the program
-        still completes with the interpreter's exact result."""
-        from repro.fpvm.tracejit import TraceJIT
-
-        m = self._loop_machine(n=64)
-        tj = TraceJIT(m, threshold=4)
-        tj.attach()
-        # make one loop-body step behave like it swept live handles
-        addr = next(a for a, ins in m.binary.text_map.items()
-                    if ins.mnemonic == "dec")
-        original = m._code[addr]
-
-        def sweeping_step():
-            tj.note_sweep([7])
-            original()
-
-        sweeping_step._body = original._body
-        sweeping_step._C = original._C
-        m._code[addr] = sweeping_step
-        m._blocks = {a: m._code[a] for a in m._code}
-        m.run()
-        assert m.halted and m.regs.get_gpr("rcx") == 0
-        assert tj.stats.trace_record_aborts >= 3
-        assert tj.stats.trace_loops_compiled == 0
-        assert not tj.traces
-
-    def test_runtime_notifies_recorder_before_bind_cache(self):
-        from repro.arith import VanillaArithmetic
-        from repro.fpvm.runtime import FPVM, FPVMConfig
-
-        m = self._loop_machine()
-        fpvm = FPVM(VanillaArithmetic(),
-                    FPVMConfig(trace_jit_threshold=4))
-        fpvm.install(m)
-        assert fpvm.tracejit is not None
-        order = []
-        fpvm.tracejit.note_sweep = lambda freed: order.append("recorder")
-        fpvm.bind_cache.invalidate_swept = (
-            lambda freed: (order.append("bindcache"), set())[1])
-        fpvm._on_gc_sweep([5])
-        assert order == ["recorder", "bindcache"]
-
-
 class TestEpochs:
     def test_maybe_collect_respects_epoch(self):
         gc, store, codec = make_gc(epoch_cycles=1000)
