@@ -268,34 +268,6 @@ def test_gc_scan_speed(benchmark):
     assert words > 100_000
 
 
-def test_gc_incremental_scan(benchmark):
-    """Steady-state incremental GC epoch over the same 1 MiB image:
-    only the one mutated page (plus registers) is rescanned."""
-    from repro.fpvm.gc import ConservativeGC
-    from repro.fpvm.shadow import ShadowStore
-
-    src = "double big[131072]; long main() { big[7] = 0.5; return 0; }"
-    m = load_binary(compile_source(src))
-    m.run()
-    store = ShadowStore()
-    codec = NaNBoxCodec()
-    h = store.alloc(1.0)
-    base = m.binary.symbols["big"]
-    m.memory.write(base + 64, 8, codec.encode(h))
-    gc = ConservativeGC(store, codec, incremental=True)
-    gc.collect(m)  # cold epoch: full scan, clears the dirty bits
-
-    def scan():
-        # the workload's write set per epoch: one hot page
-        m.memory.write(base + 64, 8, codec.encode(h))
-        store.clear_marks()
-        return gc.collect(m).words_scanned
-
-    words = benchmark(scan)
-    benchmark.extra_info["words_scanned"] = words
-    assert words < 131072  # must not rescan the whole image
-
-
 def test_decode_cache_hit(benchmark):
     from repro.fpvm.decoder import DecodeCache
     from repro.isa.instructions import Instruction

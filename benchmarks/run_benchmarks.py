@@ -29,8 +29,6 @@ trajectory this repo cares about:
   (0 on the healthy path; deopt paths are covered by the property
   suite's chaos plans)
 * ``gc_scan_words_per_sec`` — conservative GC scan rate
-* ``gc_incremental_words_per_epoch`` — words rescanned per epoch by
-  the incremental collector at steady state (dirty pages only)
 * ``patched_site_count`` / ``spurious_trap_rate`` — static-analysis
   precision over the oracle workload set: how many correctness traps
   the analysis installs and what fraction never consume a box during
@@ -63,7 +61,9 @@ trajectory across PRs stays in the file.  Schema 3 added the
 ``trace_jit_speedup`` / ``trace_deopt_rate`` metrics, schema 4 the
 batched-execution metrics, schema 5 the serving-tier metrics,
 schema 6 the sanitizer metrics; records from older schemas are
-carried over unchanged.
+carried over unchanged.  Each new record also carries a ``host``
+fingerprint (CPU model, logical CPU count, Python version), so a
+record is only compared against numbers from the same kind of host.
 
 Usage:  python benchmarks/run_benchmarks.py [--seed-baseline N]
                                             [--batch-lanes N]
@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -123,8 +124,6 @@ def distill(data: dict) -> dict:
         "legacy_instrs_per_sec": rate("test_simulator_throughput_legacy",
                                       "instr_count"),
         "gc_scan_words_per_sec": rate("test_gc_scan_speed", "words_scanned"),
-        "gc_incremental_words_per_epoch": extra("test_gc_incremental_scan",
-                                                "words_scanned"),
         "patched_site_hit_rate": extra("test_fp_loop_jit",
                                        "patched_site_hit_rate"),
     }
@@ -279,6 +278,24 @@ def sanitize_metrics(names=SANITIZE_WORKLOADS) -> dict:
     }
 
 
+def host_fingerprint() -> dict:
+    """CPU model, logical CPU count and Python version of this host."""
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_model": cpu or platform.processor() or None,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+
+
 def read_records(path: Path = OUT) -> list[dict]:
     """Past records from ``BENCH_interp.json``, any schema version.
 
@@ -336,6 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     records.append({
         "machine": data.get("machine_info", {}).get("python_version"),
         "datetime": data.get("datetime"),
+        "host": host_fingerprint(),
         "metrics": metrics,
     })
     doc = {

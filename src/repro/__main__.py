@@ -156,11 +156,9 @@ def cmd_run(args) -> int:
         session = Session(builder, None, trace=sink, label=label)
     else:
         arith = parse_arith(args.arith)
-        mode = args.mode or ("trap-and-patch" if args.patch_mode
-                             else "trap-and-emulate")
+        mode = args.mode or "trap-and-emulate"
         config = FPVMConfig(mode=mode, trace=sink,
-                            jit_threshold=args.jit,
-                            gc_mode=args.gc_mode)
+                            jit_threshold=args.jit)
         session = Session(builder, arith, config=config,
                           patch=not args.no_patch,
                           delivery_scenario=args.scenario, label=label)
@@ -564,12 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run without FPVM")
         sp.add_argument("--no-patch", action="store_true",
                         help="skip static analysis/patching (unsound!)")
-        sp.add_argument("--patch-mode", action="store_true",
-                        help="use trap-and-patch instead of trap-and-emulate")
         sp.add_argument("--mode", default=None,
                         choices=("trap-and-emulate", "trap-and-patch",
                                  "static"),
-                        help="execution approach (overrides --patch-mode)")
+                        help="execution approach")
         sp.add_argument("--instrument", action="store_true",
                         help="compile with inline FP checks "
                              "(the compiler-based approach; use with "
@@ -588,11 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compile a trap site to a specialized "
                              "closure after N traps (0 disables; "
                              "trap-and-emulate mode only)")
-        sp.add_argument("--gc-mode", default="full",
-                        choices=("full", "incremental"),
-                        help="GC scan strategy: full rescans all "
-                             "writable memory each epoch; incremental "
-                             "scans only dirtied pages")
 
     run_p = sub.add_parser("run", help="execute under FPVM (or natively)",
                            parents=[batch_parent])

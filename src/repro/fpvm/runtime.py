@@ -60,7 +60,9 @@ class FPVMConfig:
     """All FPVM tunables in one place.
 
     Pass it as ``FPVM(arith, FPVMConfig(...))`` or
-    ``Session(..., config=...)``.
+    ``Session(..., config=...)``.  There is one garbage collector, the
+    paper's full conservative scan of all writable memory (§4.1);
+    ``gc_epoch_cycles`` is its only knob.
     """
 
     mode: str = "trap-and-emulate"
@@ -80,12 +82,10 @@ class FPVMConfig:
     watchdog_cycles: float | None = None
     #: trap-site JIT: serviced traps at one site (with a stable operand
     #: shape) before it is compiled to a specialized closure and patched
-    #: into the dispatch loop (0 disables; trap-and-emulate mode only)
+    #: into the dispatch loop (0 disables; trap-and-emulate mode only,
+    #: and ignored under the sanitizer, whose check every produced
+    #: value must pass through the emulator)
     jit_threshold: int = 0
-    #: "full" rescans all writable memory each GC epoch; "incremental"
-    #: scans only pages dirtied since their last scan (write-barrier
-    #: bits) and replays remembered candidates for clean pages
-    gc_mode: str = "full"
     #: sanitizer tunables; only consulted when the arithmetic is a
     #: DualPathArithmetic (``None`` uses SanitizeConfig defaults)
     sanitize: "object | None" = None
@@ -114,8 +114,6 @@ class FPVM:
             config = FPVMConfig()
         if config.mode not in ("trap-and-emulate", "trap-and-patch", "static"):
             raise ValueError(f"unknown FPVM mode {config.mode!r}")
-        if config.gc_mode not in ("full", "incremental"):
-            raise ValueError(f"unknown GC mode {config.gc_mode!r}")
         self.config = config
         self.arith = arith
         self.mode = config.mode
@@ -125,8 +123,7 @@ class FPVM:
         self.emulator = Emulator(arith, self.store, self.codec,
                                  box_exact_results=config.box_exact_results)
         self.gc = ConservativeGC(self.store, self.codec,
-                                 epoch_cycles=config.gc_epoch_cycles,
-                                 incremental=config.gc_mode == "incremental")
+                                 epoch_cycles=config.gc_epoch_cycles)
         self.gc.on_sweep = self._on_gc_sweep
         self.emulator.trace = self.trace
         self.gc.trace = self.trace
@@ -167,8 +164,11 @@ class FPVM:
                                        trace=self.trace)
             self.emulator.sanitizer = self.sanitizer
         #: trap-site JIT (§4.2 call-site rewriting applied to the
-        #: emulation round-trip); only the faulting mode benefits
-        if config.jit_threshold > 0 and config.mode == "trap-and-emulate":
+        #: emulation round-trip); only the faulting mode benefits, and
+        #: compiled steps call the arithmetic directly, bypassing the
+        #: sanitizer's per-value check — so no JIT under the sanitizer
+        if (config.jit_threshold > 0 and config.mode == "trap-and-emulate"
+                and self.sanitizer is None):
             from repro.fpvm.jit import TrapSiteJIT
             self.jit: "TrapSiteJIT | None" = TrapSiteJIT(
                 self, config.jit_threshold)

@@ -76,7 +76,12 @@ class TrapEvent(TraceEvent):
 
 @dataclass(slots=True)
 class GCEpochEvent(TraceEvent):
-    """One conservative mark-and-sweep pass (Fig. 10 row, per epoch)."""
+    """One conservative mark-and-sweep pass (Fig. 10 row, per epoch).
+
+    Every pass scans all writable program memory (heap to the break,
+    stack from RSP) plus the register file, so ``words_scanned`` is the
+    whole scan and ``scan_cycles`` its modeled scan-and-sweep cost.
+    """
 
     kind: ClassVar[str] = "gc_epoch"
 
@@ -87,12 +92,6 @@ class GCEpochEvent(TraceEvent):
     freed: int = 0
     alive_after: int = 0
     scan_cycles: float = 0.0
-    #: incremental mode: only dirty pages were freshly scanned; clean
-    #: pages replayed their remembered candidate handles
-    incremental: bool = False
-    pages_scanned: int = 0
-    pages_total: int = 0
-    remembered_marks: int = 0
 
 
 @dataclass(slots=True)

@@ -11,7 +11,7 @@ from repro.__main__ import main
 from repro.analysis.ranges import (autotune_precision,
                                    validate_sanitize_exemptions)
 from repro.fpvm.runtime import FPVMConfig
-from repro.fpvm.sanitize import SanitizeConfig
+from repro.fpvm.sanitize import DualPathArithmetic, SanitizeConfig
 from repro.session import Session
 from repro.workloads import numbugs
 from repro.workloads.numbugs import SEEDED_BUGS
@@ -131,6 +131,25 @@ def test_sanitize_run_bit_identical_to_native(name, mode):
     assert res.stdout == native.stdout
     assert res.exit_code == native.exit_code
     assert res.instr_count == native.instr_count
+
+
+@pytest.mark.parametrize("name", ["numbugs_cancel", "numbugs_sum",
+                                  "numbugs_var"])
+def test_jit_threshold_ignored_under_sanitizer(name):
+    """Compiled JIT steps would call the arithmetic directly and skip
+    the sanitizer's per-value check, so no JIT is built under it."""
+    def run(jit_threshold):
+        sess = Session(name, DualPathArithmetic(), size="test",
+                       config=FPVMConfig(jit_threshold=jit_threshold))
+        res = sess.run()
+        st = sess.fpvm.stats
+        return sess, (st.sanitize_checks, st.sanitize_flags,
+                      res.stdout, res.exit_code)
+
+    _, off = run(0)
+    sess, on = run(2)
+    assert on == off
+    assert sess.fpvm.jit is None
 
 
 def test_aggressive_exemption_reduces_checks():

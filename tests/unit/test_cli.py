@@ -61,7 +61,14 @@ class TestCommands:
             assert main(["run", program, "--scenario", scenario]) == 0
 
     def test_run_patch_mode(self, program):
-        assert main(["run", program, "--patch-mode"]) == 0
+        assert main(["run", program, "--mode", "trap-and-patch"]) == 0
+
+    @pytest.mark.parametrize("flags", [["--patch-mode"],
+                                       ["--gc-mode", "full"]])
+    def test_removed_flags_rejected(self, program, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", program, *flags])
+        assert exc.value.code == 2
 
     def test_run_static_and_instrumented(self, program, capsys):
         main(["run", program, "--native"])
